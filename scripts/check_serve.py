@@ -14,8 +14,16 @@ via ``--port-file``) and asserts the serving contract end to end:
 3. a *fresh process* with an empty local cache directory, mounting only
    the networked cache tier, warm-compiles the same model with zero
    allocator solves and the same fingerprint;
-4. SIGTERM drains both servers cleanly: they run admitted work to
+4. the remote tier is cheaper than recompiling, measured in this run
+   so the gate holds on any host: the median fresh-session warm start
+   of bert on ``dynaplasia`` from the cache server takes at most
+   ``MAX_WARM_VS_LOCAL_COLD`` of a local cold compile, with exact
+   counts — the cold compile writes one PUT per solve, and each warm
+   start issues one GET per distinct window, every one a hit;
+5. SIGTERM drains both servers cleanly: they run admitted work to
    completion, print their "drained cleanly" line and exit 0.
+
+It also prints the daemon's warm-request p50 (reported, not gated).
 
 Run from the repository root::
 
@@ -24,9 +32,11 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import atexit
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +46,16 @@ import time
 CLIENTS = 4
 MODEL = "tiny-mlp"
 HARDWARE = "small-test-chip"
+
+#: The remote-tier gate: bert reuses its encoder block, so a cold compile
+#: solves few windows (54) and a warm start makes one GET for each.
+RATIO_MODEL = "bert"
+RATIO_HARDWARE = "dynaplasia"
+RATIO_RUNS = 3
+MAX_WARM_VS_LOCAL_COLD = 0.5
+
+#: Warm requests timed against the daemon for the printed p50.
+WARM_REQUESTS = 20
 
 _ENV = dict(os.environ)
 _ENV["PYTHONPATH"] = "src" + os.pathsep + _ENV.get("PYTHONPATH", "")
@@ -60,6 +80,12 @@ print(program.fingerprint())
 """ % {"hardware": HARDWARE, "model": MODEL}
 
 
+def _kill_if_running(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+
+
 def start_server(args, port_file):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli"] + args + ["--port-file", port_file],
@@ -68,6 +94,8 @@ def start_server(args, port_file):
         stderr=subprocess.STDOUT,
         text=True,
     )
+    # A failed check exits before the drain; leave no server behind.
+    atexit.register(_kill_if_running, proc)
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         if proc.poll() is not None:
@@ -92,6 +120,61 @@ def metric(text, name):
     match = re.search(rf"^{re.escape(name)} (\d+)$", text, re.MULTILINE)
     assert match, f"metric {name} missing from /metrics exposition:\n{text}"
     return int(match.group(1))
+
+
+def timed_compile(session, model):
+    from repro.core import CompilerOptions
+
+    started = time.perf_counter()
+    program = session.compile(model, options=CompilerOptions(generate_code=False))
+    return program, time.perf_counter() - started
+
+
+def check_remote_tier_ratio(cache_url):
+    """Gate 4: a remote warm start beats a local cold compile, same run."""
+    from repro.api import Session
+
+    local_cold = []
+    for _ in range(RATIO_RUNS):
+        with Session(hardware=RATIO_HARDWARE) as session:
+            local, seconds = timed_compile(session, RATIO_MODEL)
+        local_cold.append(seconds)
+    solves = local.stats["allocator_solves"]
+
+    with Session(hardware=RATIO_HARDWARE, remote_cache=cache_url) as session:
+        cold, _ = timed_compile(session, RATIO_MODEL)
+    stats = session.service.remote_cache.stats
+    assert cold.stats["allocator_solves"] == solves, cold.stats
+    assert (stats.stores, stats.dropped, stats.errors) == (solves, 0, 0), (
+        f"cold write-through: expected {solves} PUTs stored, none dropped "
+        f"or failed; got {stats.to_dict()}"
+    )
+
+    warm_starts = []
+    for _ in range(RATIO_RUNS):
+        with Session(hardware=RATIO_HARDWARE, remote_cache=cache_url) as session:
+            warm, seconds = timed_compile(session, RATIO_MODEL)
+        warm_starts.append(seconds)
+        stats = session.service.remote_cache.stats
+        windows = session.cache_stats.remote_hits
+        assert warm.stats["allocator_solves"] == 0, warm.stats
+        assert warm.fingerprint() == local.fingerprint(), "remote warm != local"
+        assert stats.hits + stats.misses == windows == solves, (
+            f"warm start: expected {solves} GETs (one per distinct window, "
+            f"all hits); got {stats.to_dict()} over {windows} windows"
+        )
+
+    ratio = statistics.median(warm_starts) / statistics.median(local_cold)
+    print(
+        f"remote tier: {RATIO_MODEL} warm start {statistics.median(warm_starts) * 1e3:.1f} ms "
+        f"vs local cold {statistics.median(local_cold) * 1e3:.1f} ms "
+        f"(ratio {ratio:.3f}, gate <= {MAX_WARM_VS_LOCAL_COLD}); "
+        f"{solves} PUTs, {solves} GETs per warm start"
+    )
+    assert ratio <= MAX_WARM_VS_LOCAL_COLD, (
+        f"remote warm start is {ratio:.2f}x a local cold compile "
+        f"(gate {MAX_WARM_VS_LOCAL_COLD}x): the remote tier does not pay for itself"
+    )
 
 
 def main() -> int:
@@ -184,7 +267,18 @@ def main() -> int:
     )
     print("remote warm start ok: 0 solves, fingerprint bit-identical")
 
-    # 4. Graceful SIGTERM drain, exit 0, on both servers.
+    # 4. Remote warm start vs local cold compile, measured in this run.
+    check_remote_tier_ratio(cache_url)
+
+    with Client(serve_url) as client:
+        latencies = []
+        for _ in range(WARM_REQUESTS):
+            started = time.perf_counter()
+            client.compile(MODEL, hardware=HARDWARE)
+            latencies.append(time.perf_counter() - started)
+    print(f"daemon warm p50: {statistics.median(latencies) * 1e3:.1f} ms")
+
+    # 5. Graceful SIGTERM drain, exit 0, on both servers.
     drain(serve_proc, "compile daemon")
     drain(cache_proc, "cache server")
     print("serve smoke ok")

@@ -166,9 +166,12 @@ class Session:
     def close(self) -> None:
         """Release held resources (solver pool, remote-cache sockets).
 
-        Idempotent.  The remote client reconnects on the next lookup,
-        but the solver pool is shut down for good: compiles after
-        ``close()`` on a session that had ``solve_jobs`` set will raise.
+        Flushes the remote tier's write-behind queue first (bounded by
+        ``repro.serve.remote.FLUSH_TIMEOUT``), so a fresh session started
+        afterwards sees every entry this one solved.  Idempotent.  The
+        remote client reconnects on the next lookup, but the solver pool
+        is shut down for good: compiles after ``close()`` on a session
+        that had ``solve_jobs`` set will raise.
         """
         self.service.close()
 

@@ -535,7 +535,7 @@ class AllocationCache:
 
         The entry lands in the in-memory tier immediately and is written
         through to the persistent and networked tiers (when attached)
-        outside the lock.
+        outside the lock; the networked tier only queues it (write-behind).
         """
         entry = CacheEntry.from_result(profiles, result)
         if entry is None:

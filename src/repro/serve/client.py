@@ -32,6 +32,7 @@ from urllib.parse import urlsplit
 
 from ..core.program import CompiledProgram
 from ..service import CompileJob
+from .httpbase import open_connection
 from .wire import WIRE_VERSION, check_version, job_to_wire, program_from_wire
 
 __all__ = ["Client", "ClientError", "CompileRequestError", "RemoteCompileResult"]
@@ -143,9 +144,7 @@ class Client:
     # ------------------------------------------------------------------ #
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            self._conn = open_connection(self.host, self.port, self.timeout)
         return self._conn
 
     def close(self) -> None:

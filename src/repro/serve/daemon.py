@@ -481,7 +481,8 @@ class CompileDaemon:
         new requests are refused with a structured 503, every job
         already admitted runs to completion and settles its waiters,
         the worker pool exits, and only then does the socket close.
-        Idempotent.
+        Closing the service last flushes the remote tier's write-behind
+        queue.  Idempotent.
         """
         self._draining.set()
         if drain:

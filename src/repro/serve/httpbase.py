@@ -6,25 +6,36 @@ connection, no third-party dependencies) with the same conventions:
 
 * HTTP/1.1 with explicit ``Content-Length`` on every response, so
   clients can keep connections alive;
+* every response — status line, headers and body — leaves in **one**
+  socket write (:func:`respond`), on sockets with ``TCP_NODELAY`` set at
+  both ends (:class:`QuietHandler`, :func:`open_connection`).  Two small
+  writes with Nagle on would hold the second one back until the peer's
+  delayed ACK (~40 ms on Linux), on every request;
 * JSON responses via :func:`respond_json`, structured errors via
   :func:`repro.serve.wire.error_payload`;
 * request bodies are size-bounded (:func:`read_body`) — an oversized or
   length-less request is refused before any work happens;
 * access logging goes to the ``repro`` logger at DEBUG (the CLI's
-  ``-vv``), never to stderr on its own.
+  ``-vv``), never to stderr on its own — and so does a client hanging
+  up mid-request or mid-response.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
+import socket
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 __all__ = [
     "QuietHandler",
     "ServingHTTPServer",
+    "open_connection",
     "read_body",
+    "respond",
     "respond_json",
     "respond_text",
 ]
@@ -48,6 +59,13 @@ class ServingHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
+    def handle_error(self, request, client_address) -> None:
+        """A peer that hung up is routine; anything else keeps the stdlib report."""
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            LOGGER.debug("%s - connection dropped by peer", client_address[0])
+            return
+        super().handle_error(request, client_address)
+
     @property
     def bound_port(self) -> int:
         """The actual port (meaningful after binding with port 0)."""
@@ -60,6 +78,8 @@ class QuietHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Overridden by servers to show up in the Server response header.
     server_version = "repro-serve"
+    #: TCP_NODELAY on every accepted socket (applied by the stdlib's setup()).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         LOGGER.debug("%s - %s", self.address_string(), format % args)
@@ -68,17 +88,56 @@ class QuietHandler(BaseHTTPRequestHandler):
         LOGGER.debug("%s - error - %s", self.address_string(), format % args)
 
 
+def open_connection(host: str, port: int, timeout: float) -> http.client.HTTPConnection:
+    """A kept-alive client connection whose socket has ``TCP_NODELAY`` set.
+
+    The one way both clients of the serving tier (``Client`` and
+    ``RemoteCacheStore``) open connections, so neither can regress into
+    waiting on the server's delayed ACK between request headers and body.
+    """
+    return _NoDelayConnection(host, port, timeout=timeout)
+
+
+class _NoDelayConnection(http.client.HTTPConnection):
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def respond(
+    handler: BaseHTTPRequestHandler,
+    status: int,
+    body: bytes,
+    content_type: Optional[str] = "application/json",
+) -> None:
+    """Send one complete response in a single socket write.
+
+    The stdlib sends the header block and the body as separate writes;
+    here the header lines built by ``send_response``/``send_header``
+    (which also log the request and stamp ``Server``/``Date``) are joined
+    with the body first.  A HEAD answer carries the body's
+    ``Content-Length`` but not the body, as HTTP requires — a body there
+    would desynchronise the kept-alive connection.  An HTTP/0.9 request
+    gets the bare body, as from the stdlib.  A client that hung up ends
+    the connection quietly.
+    """
+    handler.send_response(status)
+    if content_type is not None:
+        handler.send_header("Content-Type", content_type)
+    handler.send_header("Content-Length", str(len(body)))
+    # send_response/send_header buffer no header lines for HTTP/0.9.
+    lines = getattr(handler, "_headers_buffer", [])
+    head = b"".join(lines) + b"\r\n" if lines else b""
+    handler._headers_buffer = []
+    try:
+        handler.wfile.write(head if handler.command == "HEAD" else head + body)
+    except (BrokenPipeError, ConnectionResetError):
+        handler.close_connection = True  # the client hung up
+
+
 def respond_json(handler: BaseHTTPRequestHandler, status: int, payload) -> None:
     """Send ``payload`` as a JSON response with an exact Content-Length."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    handler.send_response(status)
-    handler.send_header("Content-Type", "application/json")
-    handler.send_header("Content-Length", str(len(body)))
-    handler.end_headers()
-    try:
-        handler.wfile.write(body)
-    except (BrokenPipeError, ConnectionResetError):
-        pass  # the client hung up; nothing to clean up server-side
+    respond(handler, status, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
 def respond_text(
@@ -88,15 +147,7 @@ def respond_text(
     content_type: str = "text/plain; charset=utf-8",
 ) -> None:
     """Send a plain-text response (the ``/metrics`` endpoints use this)."""
-    body = text.encode("utf-8")
-    handler.send_response(status)
-    handler.send_header("Content-Type", content_type)
-    handler.send_header("Content-Length", str(len(body)))
-    handler.end_headers()
-    try:
-        handler.wfile.write(body)
-    except (BrokenPipeError, ConnectionResetError):
-        pass
+    respond(handler, status, text.encode("utf-8"), content_type)
 
 
 def read_body(

@@ -33,6 +33,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import queue
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +47,15 @@ from ..core.store import (
     key_digest,
 )
 from ..obs.metrics import NULL_METRICS
-from .httpbase import QuietHandler, ServingHTTPServer, read_body, respond_json, respond_text
+from .httpbase import (
+    QuietHandler,
+    ServingHTTPServer,
+    open_connection,
+    read_body,
+    respond,
+    respond_json,
+    respond_text,
+)
 
 __all__ = ["CacheServer", "RemoteCacheStore", "RemoteStoreStats"]
 
@@ -55,6 +64,15 @@ LOGGER = logging.getLogger("repro")
 #: Size bound for relayed entries (an allocation entry is a few KB; this
 #: is a hygiene limit against abusive writers, not a tuning knob).
 MAX_ENTRY_BYTES = 4 * 1024 * 1024
+
+#: Entries a store's write-behind queue holds before it drops new ones.
+#: A bert cold compile writes 53 entries and mobilenet 664, so only a
+#: cache server far slower than the solver ever fills it.
+WRITE_QUEUE_LIMIT = 1024
+
+#: Seconds ``RemoteCacheStore.close()`` waits for queued writes to reach
+#: the server; whatever is still queued after that is dropped.
+FLUSH_TIMEOUT = 10.0
 
 
 @dataclass
@@ -65,7 +83,9 @@ class RemoteStoreStats:
         hits: Fetches that returned a verified entry.
         misses: Fetches that found no usable entry (404s, rejected
             payloads and network failures all end here).
-        stores: Entries written to the server.
+        stores: Entries the server accepted from the write-behind queue.
+        dropped: Entries never sent: the write-behind queue was full, or
+            ``close()`` stopped waiting for it.
         corrupt_entries: Fetched payloads that failed self-verification
             (garbled JSON, key mismatch, bad entry body).
         version_rejections: Fetched entries written by a different
@@ -77,20 +97,14 @@ class RemoteStoreStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
+    dropped: int = 0
     corrupt_entries: int = 0
     version_rejections: int = 0
     errors: int = 0
 
     def snapshot(self) -> "RemoteStoreStats":
         """Independent copy of the counters."""
-        return RemoteStoreStats(
-            hits=self.hits,
-            misses=self.misses,
-            stores=self.stores,
-            corrupt_entries=self.corrupt_entries,
-            version_rejections=self.version_rejections,
-            errors=self.errors,
-        )
+        return RemoteStoreStats(**self.to_dict())
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-dictionary rendering for reports and ``/metrics``."""
@@ -98,10 +112,72 @@ class RemoteStoreStats:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
+            "dropped": self.dropped,
             "corrupt_entries": self.corrupt_entries,
             "version_rejections": self.version_rejections,
             "errors": self.errors,
         }
+
+
+def _close_quietly(conn: http.client.HTTPConnection) -> None:
+    try:
+        conn.close()
+    except OSError:  # best-effort cleanup; never raised into a compile
+        pass
+
+
+class _WriteBehind:
+    """One writer thread sending a store's queued PUTs, oldest first.
+
+    :meth:`offer` never blocks.  :meth:`finish` queues a stop marker
+    behind every pending entry and waits for the thread up to a
+    deadline; a writer that misses it is abandoned and drops (and
+    counts) the rest of its queue instead of sending it.
+    """
+
+    def __init__(self, store: "RemoteCacheStore") -> None:
+        self._store = store
+        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._abandoned = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-remote-writer", daemon=True
+        )
+        self._thread.start()
+
+    def offer(self, item) -> bool:
+        """Queue ``item`` unless the queue is full (caller holds the store lock)."""
+        if self._queue.qsize() >= WRITE_QUEUE_LIMIT:
+            return False
+        self._queue.put(item)
+        return True
+
+    def finish(self, timeout: float) -> None:
+        """Let the queue drain, waiting at most ``timeout`` seconds."""
+        self._queue.put(None)
+        self._thread.join(timeout)
+        if self._thread.is_alive():
+            self._abandoned.set()
+            LOGGER.warning(
+                "remote cache %s: write-behind flush exceeded %.0f s; "
+                "dropping the entries still queued",
+                self._store.url,
+                timeout,
+            )
+
+    def _run(self) -> None:
+        while True:
+            item = self._queue.get()
+            if item is None:
+                break
+            if self._abandoned.is_set():
+                self._store._count("dropped")
+                continue
+            try:
+                self._store._write(*item)
+            except Exception:  # noqa: BLE001 - a dead writer would stall every later put
+                LOGGER.exception("remote cache %s: write-behind failed", self._store.url)
+                self._store._count("errors")
+        self._store._drop_connection()
 
 
 class RemoteCacheStore:
@@ -115,9 +191,11 @@ class RemoteCacheStore:
     degrade to cache misses and counters; no method ever raises into a
     compile.
 
-    Connections are kept alive per thread (the cache is probed from
-    compile-pool threads concurrently) and reopened transparently after
-    network errors.
+    Reads are synchronous; writes go through the write-behind queue
+    (see the module docstring).  Connections are kept alive per thread
+    (the cache is probed from compile-pool threads concurrently) and
+    reopened transparently after network errors and after
+    :meth:`close`.
 
     Args:
         url: Base URL of the cache server, e.g. ``"http://cache:9123"``
@@ -151,31 +229,30 @@ class RemoteCacheStore:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._connections: List[http.client.HTTPConnection] = []
-        self._closed = False
+        #: Bumped by close(); a thread holding an older connection reopens.
+        self._generation = 0
+        self._writer: Optional[_WriteBehind] = None
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
     def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
-            self._local.conn = conn
+        local = self._local
+        if getattr(local, "generation", None) != self._generation:
+            conn = open_connection(self.host, self.port, self.timeout)
             with self._lock:
                 self._connections.append(conn)
-        return conn
+                local.conn, local.generation = conn, self._generation
+        return local.conn
 
     def _drop_connection(self) -> None:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
-            self._local.conn = None
+            self._local.conn = self._local.generation = None
             with self._lock:
                 if conn in self._connections:
                     self._connections.remove(conn)
-            try:
-                conn.close()
-            except Exception:  # noqa: BLE001 - best-effort cleanup
-                pass
+            _close_quietly(conn)
 
     def _request(
         self, method: str, path: str, body: Optional[bytes] = None
@@ -186,8 +263,6 @@ class RemoteCacheStore:
         (counted in ``stats.errors``).  HTTP error *statuses* are not
         failures at this layer — callers interpret them.
         """
-        if self._closed:
-            return None
         headers = {"Content-Type": "application/json"} if body is not None else {}
         for attempt in (0, 1):
             conn = self._connection()
@@ -213,15 +288,21 @@ class RemoteCacheStore:
         self.metrics.inc(f"remote.{counter}")
 
     def close(self) -> None:
-        """Close every kept-alive connection (idempotent)."""
-        self._closed = True
+        """Flush queued writes, then close every kept-alive connection.
+
+        The flush waits at most :data:`FLUSH_TIMEOUT` seconds.  Not
+        terminal: the next request reopens a connection and the next
+        :meth:`put` starts a new writer.  Idempotent.
+        """
+        with self._lock:
+            writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.finish(FLUSH_TIMEOUT)
         with self._lock:
             connections, self._connections = self._connections, []
+            self._generation += 1
         for conn in connections:
-            try:
-                conn.close()
-            except Exception:  # noqa: BLE001 - best-effort cleanup
-                pass
+            _close_quietly(conn)
 
     # ------------------------------------------------------------------ #
     # store protocol (what AllocationCache consumes)
@@ -269,7 +350,20 @@ class RemoteCacheStore:
         return entry
 
     def put(self, key, entry) -> None:
-        """Write ``entry`` through to the server (failures swallowed)."""
+        """Queue ``entry`` for write-through; never waits on the network.
+
+        ``stats.stores`` counts it once the server has it; a full queue
+        drops it (``stats.dropped``).
+        """
+        with self._lock:
+            if self._writer is None:
+                self._writer = _WriteBehind(self)
+            queued = self._writer.offer((key, entry))
+        if not queued:
+            self._count("dropped")
+
+    def _write(self, key, entry) -> None:
+        """Send one entry to the server (on the writer thread; failures counted)."""
         payload = {
             "format_version": FORMAT_VERSION,
             "key": _key_payload(key),
@@ -373,30 +467,16 @@ class CacheServer:
     def _handle_get(self, handler: QuietHandler, include_body: bool) -> None:
         digest = self._entry_digest(handler.path)
         if digest is not None:
-            verb = "get" if include_body else "head"
             if include_body:
                 data = self.store.get_raw(digest)
-                found = data is not None
+                self._bump("get")
             else:
-                data = None
-                found = self.store.has_entry(digest)
-            self._bump(verb)
-            if not found:
+                data = b"" if self.store.has_entry(digest) else None
+                self._bump("head")
+            if data is None:
                 respond_json(handler, 404, {"error": {"code": "not_found", "message": digest}})
-                return
-            if include_body:
-                handler.send_response(200)
-                handler.send_header("Content-Type", "application/json")
-                handler.send_header("Content-Length", str(len(data)))
-                handler.end_headers()
-                try:
-                    handler.wfile.write(data)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
             else:
-                handler.send_response(200)
-                handler.send_header("Content-Length", "0")
-                handler.end_headers()
+                respond(handler, 200, data)
             return
         if handler.path == "/healthz":
             respond_json(handler, 200, {"status": "ok", "role": "cache-server"})

@@ -456,8 +456,8 @@ class CompileService:
 
         Shuts down the solver pool the service built (an externally
         passed ``solver_pool`` is its owner's to close) and the remote
-        cache tier's sockets; batch thread pools are per-call and need
-        no teardown.
+        cache tier's sockets, after flushing its write-behind queue;
+        batch thread pools are per-call and need no teardown.
         """
         if self._owns_pool and self.solver_pool is not None:
             self.solver_pool.close()
@@ -533,6 +533,10 @@ def _compile_spec_in_worker(spec: Dict) -> CompileJobResult:
     obs = Observability(tracer=Tracer()) if spec.get("trace") else None
     service = CompileService(cache=cache, use_cache=cache is not None, obs=obs)
     result = service.compile(job)
+    if cache is not None and cache.remote is not None:
+        # Publish this job's write-behind queue: the pool may end this
+        # process without running its threads to completion.
+        cache.remote.close()
     if obs is not None:
         result.spans = obs.tracer.flush()
     return result

@@ -6,12 +6,23 @@ compile for N concurrent identical requests), the networked cache tier
 (self-verifying entries: poisoned or version-skewed server data is a
 miss, never a wrong program), `Session(remote_cache=...)` zero-solve
 warm compiles, the `Session` context manager, and the batch JSON report.
+
+The transport tests pin one socket write per response with TCP_NODELAY
+at both ends; the write-behind tests pin when queued remote writes
+land, what is dropped and counted, and that `close()` is bounded and
+not terminal.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import re
+import socket
+import struct
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +47,8 @@ from repro.serve import (
     program_to_wire,
     request_fingerprint,
 )
+from repro.serve import remote as remote_module
+from repro.serve.remote import MAX_ENTRY_BYTES
 from repro.serve.wire import WIRE_VERSION, check_version
 from repro.service import CompileJob
 
@@ -264,6 +277,7 @@ class TestRemoteCacheStore:
         key, entry = _synthetic_key(), _entry()
         assert remote.get(key) is None
         remote.put(key, entry)
+        remote.close()  # flushes the write-behind queue; the store stays usable
         assert remote.get(key) == entry
         assert remote.contains(key)
         assert not remote.contains(_synthetic_key(reserve_arrays=9))
@@ -283,6 +297,7 @@ class TestRemoteCacheStore:
         remote = RemoteCacheStore(cache_server.url)
         key, entry = _synthetic_key(), _entry()
         remote.put(key, entry)
+        remote.close()
         digest = key_digest(key)
         path = cache_server.store.root / digest[:2] / f"{digest}.json"
         payload = json.loads(path.read_text())
@@ -297,6 +312,7 @@ class TestRemoteCacheStore:
         remote = RemoteCacheStore(cache_server.url)
         key = _synthetic_key()
         remote.put(key, _entry())
+        remote.close()
         digest = key_digest(key)
         path = cache_server.store.root / digest[:2] / f"{digest}.json"
         payload = json.loads(path.read_text())
@@ -343,7 +359,9 @@ class TestRemoteCacheStore:
 class TestThreeTierCache:
     def test_remote_hit_promotes_into_both_local_tiers(self, cache_server, tmp_path):
         key, entry = _synthetic_key(), _entry()
-        RemoteCacheStore(cache_server.url).put(key, entry)
+        writer = RemoteCacheStore(cache_server.url)
+        writer.put(key, entry)
+        writer.close()
 
         store = DiskCacheStore(tmp_path / "local")
         cache = AllocationCache(store=store, remote=RemoteCacheStore(cache_server.url))
@@ -364,6 +382,7 @@ class TestThreeTierCache:
         from dataclasses import replace
 
         cache.put(key, {"a": None, "b": None}, replace(result, from_cache=False))
+        cache.remote.close()
         assert RemoteCacheStore(cache_server.url).get(key) == entry
 
     def test_remoteless_cache_unchanged(self):
@@ -494,6 +513,298 @@ class TestSessionRemoteCache:
             assert session.compile("tiny-mlp").num_segments >= 1
         session.close()  # idempotent
         assert session.compile("tiny-mlp").num_segments >= 1  # reconnectable
+
+
+# ---------------------------------------------------------------------- #
+# transport: one write per response, TCP_NODELAY at both ends
+# ---------------------------------------------------------------------- #
+@pytest.fixture()
+def sends(monkeypatch):
+    """Every socket send in the process as ``(local port, peer port, nodelay)``."""
+    calls = []
+    for name in ("send", "sendall"):
+        original = getattr(socket.socket, name)
+
+        def spy(sock, data, *args, _original=original):
+            calls.append(
+                (
+                    sock.getsockname()[1],
+                    sock.getpeername()[1],
+                    sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY),
+                )
+            )
+            return _original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, spy)
+    return calls
+
+
+def _response_sends(sends, port, request):
+    """Run ``request`` and return the sends the server on ``port`` made for it."""
+    del sends[:]
+    request()
+    return [call for call in sends if call[0] == port]
+
+
+def _wait_for_new_handler_threads(before):
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        if not any(
+            "process_request_thread" in thread.name
+            for thread in set(threading.enumerate()) - before
+        ):
+            return
+        time.sleep(0.01)
+
+
+class TestTransport:
+    def test_cache_server_answers_every_request_in_one_nodelay_send(
+        self, cache_server, sends
+    ):
+        port = cache_server.bound_port
+        remote = RemoteCacheStore(cache_server.url)
+        key = _synthetic_key()
+
+        def put_and_flush():
+            remote.put(key, _entry())
+            remote.close()
+
+        def metrics():
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            conn.request("GET", "/metrics")
+            assert b"cache_server_entries" in conn.getresponse().read()
+            conn.close()
+
+        requests = {
+            "GET miss": lambda: remote.get(key),
+            "HEAD miss": lambda: remote.contains(key),
+            "PUT": put_and_flush,
+            "GET hit": lambda: remote.get(key),
+            "HEAD hit": lambda: remote.contains(key),
+            "/healthz": remote.healthy,
+            "/metrics": metrics,
+        }
+        for label, request in requests.items():
+            server_sends = _response_sends(sends, port, request)
+            assert len(server_sends) == 1, (label, server_sends)
+            assert server_sends[0][2], f"{label}: accepted socket lacks TCP_NODELAY"
+        assert remote.stats.hits == 1 and remote.stats.stores == 1
+        client_sends = [call for call in sends if call[1] == port]
+        assert client_sends and all(nodelay for _, _, nodelay in client_sends)
+        remote.close()
+
+    def test_daemon_answers_every_request_in_one_nodelay_send(self, sends):
+        daemon = CompileDaemon(workers=1)
+        daemon.start_background()
+        port = daemon.bound_port
+        client = Client(daemon.url, retries=1)
+        try:
+            requests = {
+                "/healthz": client.healthy,
+                "/v1/compile": lambda: client.compile("tiny-mlp", hardware="small-test-chip"),
+                "/metrics": client.metrics_text,
+            }
+            for label, request in requests.items():
+                server_sends = _response_sends(sends, port, request)
+                assert len(server_sends) == 1, (label, server_sends)
+                assert server_sends[0][2], f"{label}: accepted socket lacks TCP_NODELAY"
+            client_sends = [call for call in sends if call[1] == port]
+            assert client_sends and all(nodelay for _, _, nodelay in client_sends)
+        finally:
+            client.close()
+            daemon.shutdown()
+
+    def test_head_answer_carries_no_body(self, cache_server):
+        """A HEAD 404 must not leave a body on the kept-alive connection."""
+        conn = http.client.HTTPConnection("127.0.0.1", cache_server.bound_port, timeout=5)
+        conn.request("HEAD", f"/entry/{key_digest(_synthetic_key())}")
+        response = conn.getresponse()
+        assert response.status == 404 and response.read() == b""
+        conn.request("GET", "/healthz")  # same connection: must parse cleanly
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+        conn.close()
+
+    def test_http09_request_gets_the_bare_body(self, cache_server, capfd):
+        sock = socket.create_connection(("127.0.0.1", cache_server.bound_port), timeout=5)
+        sock.sendall(b"GET /healthz\r\n\r\n")
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+        sock.close()
+        assert json.loads(data)["status"] == "ok"
+        assert capfd.readouterr().err == ""
+
+    def test_client_hanging_up_leaves_stderr_clean(self, cache_server, capfd):
+        port = cache_server.bound_port
+        digest = "ab" * 32  # a large entry: the body cannot leave in one go
+        path = cache_server.store.root / digest[:2] / f"{digest}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b" " * MAX_ENTRY_BYTES)
+        before = set(threading.enumerate())
+        reset = struct.pack("ii", 1, 0)  # SO_LINGER 0: close() sends RST
+        for request, read in (
+            (f"GET /entry/{digest} HTTP/1.1\r\nHost: x\r\n\r\n", 16),  # mid-response
+            ("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 0),  # before the response
+        ):
+            sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+            sock.sendall(request.encode())
+            if read:
+                assert sock.recv(read)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, reset)
+            sock.close()
+        # A kept-alive connection reset while idle.
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, reset)
+        sock.close()
+        _wait_for_new_handler_threads(before)
+        probe = RemoteCacheStore(cache_server.url)
+        assert probe.healthy()
+        probe.close()
+        assert capfd.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------- #
+# write-behind: write-through off the solve path
+# ---------------------------------------------------------------------- #
+@pytest.fixture()
+def writer_gate(monkeypatch):
+    """Holds every write-behind send until the returned event is set."""
+    gate = threading.Event()
+    original = RemoteCacheStore._write
+
+    def gated(store, key, entry):
+        gate.wait(30)
+        original(store, key, entry)
+
+    monkeypatch.setattr(RemoteCacheStore, "_write", gated)
+    yield gate
+    gate.set()
+
+
+def _wait_for_writers():
+    for thread in threading.enumerate():
+        if thread.name == "repro-remote-writer":
+            thread.join(10)
+
+
+class TestWriteBehind:
+    OPTIONS = CompilerOptions(generate_code=False)
+
+    def test_closed_session_reconnects_and_writes_through(self, cache_server):
+        session = Session(hardware="small-test-chip", remote_cache=cache_server.url)
+        session.compile("tiny-mlp", options=self.OPTIONS)
+        session.close()
+        cold = session.compile("tiny-cnn", options=self.OPTIONS)
+        assert cold.stats["allocator_solves"] > 0
+        session.close()
+        stats = session.service.remote_cache.stats
+        assert stats.stores == session.cache_stats.stores
+        assert stats.errors == stats.dropped == 0
+        # A fresh session right after close() sees every entry.
+        with Session(hardware="small-test-chip", remote_cache=cache_server.url) as fresh:
+            program = fresh.compile("tiny-cnn", options=self.OPTIONS)
+        assert program.stats["allocator_solves"] == 0
+        assert program.fingerprint() == cold.fingerprint()
+
+    def test_every_put_lands_with_a_solver_pool(self, cache_server):
+        with Session(
+            hardware="small-test-chip", remote_cache=cache_server.url, solve_jobs=2
+        ) as session:
+            program = session.compile("tiny-cnn", options=self.OPTIONS)
+        stats = session.service.remote_cache.stats
+        solves = program.stats["allocator_solves"]
+        assert solves > 0 and stats.stores == solves
+        assert stats.errors == stats.dropped == 0
+        assert cache_server.store.usage()["files"] == solves
+
+    def test_server_killed_before_flush(self, tmp_path, writer_gate):
+        local = Session(hardware="small-test-chip").compile("tiny-mlp", options=self.OPTIONS)
+        server = CacheServer(tmp_path / "served")
+        server.start_background()
+        session = Session(hardware="small-test-chip", remote_cache=server.url)
+        program = session.compile("tiny-mlp", options=self.OPTIONS)
+        server.shutdown()
+        writer_gate.set()
+        started = time.monotonic()
+        session.close()
+        assert time.monotonic() - started <= remote_module.FLUSH_TIMEOUT
+        stats = session.service.remote_cache.stats
+        assert stats.stores == 0 and stats.dropped == 0
+        assert stats.errors == program.stats["allocator_solves"] > 0
+        assert program.fingerprint() == local.fingerprint()
+
+    def test_flush_gives_up_at_its_bound(self, cache_server, writer_gate, monkeypatch):
+        monkeypatch.setattr(remote_module, "FLUSH_TIMEOUT", 0.05)
+        session = Session(hardware="small-test-chip", remote_cache=cache_server.url)
+        solves = session.compile("tiny-mlp", options=self.OPTIONS).stats["allocator_solves"]
+        session.close()  # the writer is wedged on its first entry
+        writer_gate.set()
+        _wait_for_writers()
+        stats = session.service.remote_cache.stats
+        assert stats.stores == 1 and stats.dropped == solves - 1
+
+    def test_full_queue_drops_without_blocking_the_compile(
+        self, cache_server, writer_gate, monkeypatch
+    ):
+        monkeypatch.setattr(remote_module, "WRITE_QUEUE_LIMIT", 2)
+        session = Session(hardware="small-test-chip", remote_cache=cache_server.url)
+        # The writer is held on its first entry for the whole compile.
+        solves = session.compile("tiny-cnn", options=self.OPTIONS).stats["allocator_solves"]
+        stats = session.service.remote_cache.stats
+        assert stats.dropped >= solves - 3 > 0
+        writer_gate.set()
+        session.close()
+        assert stats.stores + stats.dropped == solves
+        assert stats.errors == 0
+
+    def test_concurrent_puts_and_closes_lose_no_entry(self, cache_server, monkeypatch):
+        """Every put is stored or counted as dropped, even across close()."""
+        monkeypatch.setattr(remote_module, "WRITE_QUEUE_LIMIT", 4)
+        remote = RemoteCacheStore(cache_server.url)
+        threads, per_thread = 8, 25
+        barrier = threading.Barrier(threads + 1)
+
+        def writer(index):
+            barrier.wait(10)
+            for j in range(per_thread):
+                remote.put(_synthetic_key(reserve_arrays=index * per_thread + j), _entry())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=writer, args=(i,)) for i in range(threads)]
+            for thread in pool:
+                thread.start()
+            barrier.wait(10)
+            for _ in range(3):
+                remote.close()  # races the writers: a put may start a new writer
+            for thread in pool:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in pool)
+            remote.close()
+        finally:
+            sys.setswitchinterval(interval)
+        stats = remote.stats
+        assert stats.stores + stats.dropped == threads * per_thread
+        assert stats.stores > 0 and stats.errors == 0
+        assert cache_server.store.usage()["files"] == stats.stores
+
+    def test_daemon_metrics_expose_dropped(self, cache_server):
+        daemon = CompileDaemon(remote_cache=cache_server.url, workers=1)
+        daemon.start_background()
+        client = Client(daemon.url, retries=1)
+        try:
+            client.compile("tiny-mlp", hardware="small-test-chip")
+            text = client.metrics_text()
+        finally:
+            client.close()
+            daemon.shutdown()
+        assert re.search(r"^cache_remote_dropped 0$", text, re.MULTILINE), text
+        assert re.search(r"^cache_remote_stores \d+$", text, re.MULTILINE), text
 
 
 # ---------------------------------------------------------------------- #
