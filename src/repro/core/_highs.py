@@ -28,11 +28,18 @@ state leaks between segments.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["solve_canonical_milp"]
+__all__ = ["FAILED", "OPTIMAL", "TIME_LIMIT", "solve_canonical_milp"]
+
+#: Outcome of one solve: proven optimal, stopped by the time (or
+#: iteration) limit, or anything else (infeasible, unbounded, error).
+OPTIMAL = "optimal"
+TIME_LIMIT = "time-limit"
+FAILED = "failed"
 
 #: Resolved lazily: ``(highspy_core_module, options_cache)`` or
 #: ``(None, None)`` when the direct tier is unavailable.
@@ -42,26 +49,40 @@ _RUNTIME: Optional[Tuple[Optional[object], Optional[Dict]]] = None
 def _runtime() -> Tuple[Optional[object], Optional[Dict]]:
     global _RUNTIME
     if _RUNTIME is None:
-        try:
-            import scipy.optimize._highspy._core as core
+        # Import on a short-lived thread of its own.  CPython 3.11 keeps
+        # frames in fixed-size chunks, and scipy's import makes ~750k
+        # calls: at a caller depth where they straddle a chunk boundary
+        # each call maps a fresh chunk, so the first solve of a process
+        # (a fresh daemon's first compile) cost 50-150 ms more or less
+        # depending on how deep its caller happened to be.  A new thread
+        # starts the import at the same shallow depth every time.
+        loader = threading.Thread(target=_load_runtime, name="repro-highs-import")
+        loader.start()
+        loader.join()
+    return _RUNTIME if _RUNTIME is not None else (None, None)
 
-            # The attributes the direct tier touches; probing them here
-            # turns any vendored-layout change into a clean fallback.
-            for attribute in (
-                "HighsLp",
-                "_Highs",
-                "HighsOptions",
-                "HighsVarType",
-                "HighsStatus",
-                "HighsModelStatus",
-                "MatrixFormat",
-                "kHighsInf",
-            ):
-                getattr(core, attribute)
-            _RUNTIME = (core, {})
-        except Exception:  # noqa: BLE001 - any layout mismatch → fallback
-            _RUNTIME = (None, None)
-    return _RUNTIME
+
+def _load_runtime() -> None:
+    global _RUNTIME
+    try:
+        import scipy.optimize._highspy._core as core
+
+        # The attributes the direct tier touches; probing them here
+        # turns any vendored-layout change into a clean fallback.
+        for attribute in (
+            "HighsLp",
+            "_Highs",
+            "HighsOptions",
+            "HighsVarType",
+            "HighsStatus",
+            "HighsModelStatus",
+            "MatrixFormat",
+            "kHighsInf",
+        ):
+            getattr(core, attribute)
+        _RUNTIME = (core, {})
+    except Exception:  # noqa: BLE001 - any layout mismatch → fallback
+        _RUNTIME = (None, None)
 
 
 def _options_object(core, options_cache: Dict, time_limit: float, presolve: bool):
@@ -96,7 +117,7 @@ def solve_canonical_milp(
     row_ub: np.ndarray,
     time_limit: float,
     presolve: bool = True,
-) -> Optional[Tuple[bool, Optional[np.ndarray]]]:
+) -> Optional[Tuple[str, Optional[np.ndarray]]]:
     """Solve ``min c.T x  s.t. row_lb <= A x <= row_ub, col_lb <= x <= col_ub``.
 
     Args:
@@ -112,8 +133,10 @@ def solve_canonical_milp(
         presolve: Whether HiGHS presolve runs (scipy bool semantics).
 
     Returns:
-        ``(success, x)`` where ``success`` mirrors scipy's
-        ``result.success`` (model solved to proven optimality), or
+        ``(status, x)`` where ``status`` is :data:`OPTIMAL` (``x`` is the
+        proven-optimal solution), :data:`TIME_LIMIT` (the solver stopped
+        at its limit; ``x`` is None — a best-so-far incumbent depends on
+        host speed, so it is never returned) or :data:`FAILED`; or
         ``None`` when scipy itself is unavailable.
     """
     core, options_cache = _runtime()
@@ -165,7 +188,7 @@ def _solve_direct(
     row_ub,
     time_limit,
     presolve,
-) -> Tuple[bool, Optional[np.ndarray]]:
+) -> Tuple[str, Optional[np.ndarray]]:
     """The highspy tier; mirrors scipy's ``_highs_wrapper`` model fill."""
     lp = core.HighsLp()
     lp.num_col_ = objective.size
@@ -190,17 +213,20 @@ def _solve_direct(
         )
         == core.HighsStatus.kError
     ):
-        return False, None
+        return FAILED, None
     if highs.passModel(lp) == core.HighsStatus.kError:
-        return False, None
+        return FAILED, None
     if highs.run() == core.HighsStatus.kError:
-        return False, None
-    # scipy maps only a proven-optimal model status to success for a
-    # MIP; a time-limit-feasible solution reports success=False, which
-    # the allocator treats as "fall back to greedy" — same as before.
-    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
-        return False, None
-    return True, np.array(highs.getSolution().col_value)
+        return FAILED, None
+    # Only a proven-optimal model status counts as solved (scipy's
+    # ``success`` for a MIP); a limit stop is reported apart from a
+    # proof of infeasibility so the caller can keep it out of caches.
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kOptimal:
+        return OPTIMAL, np.array(highs.getSolution().col_value)
+    if status in (core.HighsModelStatus.kTimeLimit, core.HighsModelStatus.kIterationLimit):
+        return TIME_LIMIT, None
+    return FAILED, None
 
 
 def _solve_public(
@@ -215,7 +241,7 @@ def _solve_public(
     row_ub,
     time_limit,
     presolve,
-) -> Optional[Tuple[bool, Optional[np.ndarray]]]:
+) -> Optional[Tuple[str, Optional[np.ndarray]]]:
     """The public-API tier; same model through ``scipy.optimize.milp``."""
     try:
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -232,4 +258,7 @@ def _solve_public(
         bounds=Bounds(lb=col_lb, ub=col_ub),
         options={"time_limit": float(time_limit), "presolve": bool(presolve)},
     )
-    return bool(result.success), result.x
+    if result.success:
+        return OPTIMAL, result.x
+    # scipy's status 1: "Iteration or time limit reached".
+    return (TIME_LIMIT if result.status == 1 else FAILED), None

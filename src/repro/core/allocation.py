@@ -40,8 +40,13 @@ from ..cost.latency import (
 )
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.transforms import ceil_div
-from ._highs import solve_canonical_milp
+from ._highs import OPTIMAL, TIME_LIMIT, solve_canonical_milp
 from .feasibility import FeasibilityModel
+
+#: Solver tag of a MILP stopped by its time limit and answered by the
+#: greedy fallback.  Such a result depends on host speed, so it is
+#: served to the requesting compile but never stored in a cache tier.
+TIMEOUT_SOLVER = "milp-timeout"
 
 
 @dataclass
@@ -53,7 +58,8 @@ class AllocationResult:
         latency_cycles: Pipelined segment latency under the allocation.
         feasible: Whether the segment fits the chip at all.
         solver: Which engine produced the result ("milp", "greedy",
-            "single", "infeasible").
+            "single", "infeasible", or :data:`TIMEOUT_SOLVER` when the
+            MILP hit its time limit and greedy answered).
         from_cache: Whether the result was served from a shared
             :class:`~repro.core.cache.AllocationCache` instead of a fresh
             solve (used by compile statistics).
@@ -74,6 +80,11 @@ class AllocationResult:
     def total_arrays(self) -> int:
         """Total arrays used."""
         return sum(a.total_arrays for a in self.allocations.values())
+
+    @property
+    def exact(self) -> bool:
+        """Whether the result is independent of host speed (cacheable)."""
+        return self.solver != TIMEOUT_SOLVER
 
     @property
     def compute_arrays(self) -> int:
@@ -292,6 +303,10 @@ class GreedyAllocator:
 # ---------------------------------------------------------------------- #
 # MILP allocator
 # ---------------------------------------------------------------------- #
+class MILPTimeLimit(Exception):
+    """HiGHS stopped at its time limit before proving optimality."""
+
+
 class MIPAllocator:
     """Mixed-integer-programming allocator (the paper's §4.3.2 solver).
 
@@ -358,7 +373,14 @@ class MIPAllocator:
                 return infeasible_result()
             candidates[name] = options
 
-        solution = self._solve_milp(names, candidates, hardware)
+        try:
+            solution = self._solve_milp(names, candidates, hardware)
+        except MILPTimeLimit:
+            result = GreedyAllocator(self.allow_memory_mode).allocate(
+                profiles, hardware, pipelined=pipelined
+            )
+            result.solver = TIMEOUT_SOLVER
+            return result
         if solution is None:
             # Fall back to the greedy heuristic (also used when HiGHS
             # declares the model infeasible due to candidate pruning).
@@ -375,7 +397,14 @@ class MIPAllocator:
         candidates: Mapping[str, List[AllocationCandidate]],
         hardware: DualModeHardwareAbstraction,
     ) -> Optional[Dict[str, int]]:
-        """Build and solve the MILP; returns chosen candidate index per op."""
+        """Build and solve the MILP; returns chosen candidate index per op.
+
+        Returns None when the model cannot be built or is not solved to
+        optimality.
+
+        Raises:
+            MILPTimeLimit: HiGHS stopped at ``time_limit_seconds``.
+        """
         offsets: Dict[str, int] = {}
         num_binaries = 0
         for name in names:
@@ -462,8 +491,10 @@ class MIPAllocator:
         )
         if solution is None:
             return None
-        success, x = solution
-        if not success or x is None:
+        status, x = solution
+        if status == TIME_LIMIT:
+            raise MILPTimeLimit(self.time_limit_seconds)
+        if status != OPTIMAL or x is None:
             return None
         chosen: Dict[str, int] = {}
         for name in names:

@@ -536,7 +536,11 @@ class AllocationCache:
         The entry lands in the in-memory tier immediately and is written
         through to the persistent and networked tiers (when attached)
         outside the lock; the networked tier only queues it (write-behind).
+        A result that is not exact (a MILP time-out answered by greedy)
+        is stored in no tier: every tier promises exact results.
         """
+        if not result.exact:
+            return
         entry = CacheEntry.from_result(profiles, result)
         if entry is None:
             return  # partial allocation (foreign result); never cache it

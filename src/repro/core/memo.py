@@ -116,7 +116,9 @@ class SolveMemo:
         profiles: Mapping[str, OperatorProfile],
         result: AllocationResult,
     ) -> None:
-        """Memoise the outcome of one solve under ``key``."""
+        """Memoise the outcome of one solve under ``key`` (exact results only)."""
+        if not result.exact:
+            return
         entry = CacheEntry.from_result(profiles, result)
         if entry is None:
             return  # partial allocation (foreign result); never memoise it

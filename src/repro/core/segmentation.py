@@ -11,7 +11,9 @@ boundaries minimising
 where ``T_intra`` comes from the per-segment allocator and ``T_inter`` is
 the write-back + mode-switch + weight-reload overhead (Eq. 4).  The DP
 memoises per-segment allocations so every candidate segment is solved at
-most once.
+most once, and skips candidates whose exact lower bound
+(:func:`repro.cost.analytical.window_lower_bounds`) proves they cannot
+win — the chosen boundaries are unchanged, only fewer windows are solved.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cost.analytical import bound_exceeds, plan_lower_bound, window_lower_bounds
 from ..cost.arithmetic import OperatorProfile, ProfileVectors, profile_operator
 from ..cost.latency import INFEASIBLE_LATENCY, guard_infeasible
 from ..cost.switching import (
@@ -35,6 +38,7 @@ from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 from ..ir.transforms import fuse_auxiliary_traffic, partition_operator
 from .allocation import (
+    TIMEOUT_SOLVER,
     AllocationResult,
     GreedyAllocator,
     MIPAllocator,
@@ -456,6 +460,10 @@ class SegmentationResult:
             persistent disk tier (warm-start visibility per compile).
         speculative_waste: Solves dispatched by speculative lookahead
             that the DP never consumed (always 0 in strict mode).
+        windows_pruned: Candidate windows the DP skipped because their
+            lower bound proved they could not win.
+        solver_timeouts: Fresh solves whose MILP hit its time limit
+            (served by the greedy fallback, never cached).
     """
 
     segments: List[SegmentPlan]
@@ -465,6 +473,8 @@ class SegmentationResult:
     cache_hits: int = 0
     disk_hits: int = 0
     speculative_waste: int = 0
+    windows_pruned: int = 0
+    solver_timeouts: int = 0
 
     @property
     def total_cycles(self) -> float:
@@ -545,11 +555,14 @@ class NetworkSegmenter:
         self._vectors: Optional[ProfileVectors] = None
         self._liveness: Optional[np.ndarray] = None
         self._reserves: Optional[np.ndarray] = None
+        self._bounds: Optional[np.ndarray] = None
         self._profile_windows: Dict[Tuple[int, int], Dict[str, OperatorProfile]] = {}
         self.allocation_calls = 0
         self.cache_hits = 0
         self.disk_hits = 0
         self.speculative_waste = 0
+        self.windows_pruned = 0
+        self.solver_timeouts = 0
 
     # ------------------------------------------------------------------ #
     # per-run precomputation
@@ -560,9 +573,9 @@ class NetworkSegmenter:
         One pass over the units yields everything the DP loop needs per
         cell in O(1): the struct-of-arrays profile view (static-weight
         and compute-floor prefix sums), the live elements at every
-        boundary, and the boundary buffer reserve each window end
-        implies.  All of it is integer arithmetic identical to the
-        scalar helpers it replaces.
+        boundary, the boundary buffer reserve each window end implies,
+        and every window's edge-cost lower bound.  All but the bounds is
+        integer arithmetic identical to the scalar helpers it replaces.
         """
         if self._vectors is not None or not units:
             return
@@ -580,6 +593,24 @@ class NetworkSegmenter:
         else:
             reserves = np.zeros(m, dtype=np.int64)
         self._reserves = reserves
+        self._bounds = window_lower_bounds(
+            [unit.profile for unit in units],
+            self.hardware,
+            max(1, self.options.max_segment_operators),
+            pipelined=self.options.pipelined,
+            allow_memory_mode=self.options.allow_memory_mode,
+            live_elements=self._liveness,
+        )
+
+    def plan_lower_bound(self, units: Sequence[FlattenedUnit]) -> float:
+        """Lower bound on the cost of any plan :meth:`segment` can return.
+
+        Computed from the window bounds alone — no allocation is solved.
+        """
+        if not units:
+            return 0.0
+        self._prepare(units)
+        return plan_lower_bound(self._bounds)
 
     # ------------------------------------------------------------------ #
     # allocation memoisation
@@ -642,10 +673,33 @@ class NetworkSegmenter:
             self.allocation_calls += 1
             self._metrics.inc("allocator.solves")
             self._metrics.inc(f"allocator.solves.{result.solver}")
+            if result.solver == TIMEOUT_SOLVER:
+                self.solver_timeouts += 1
+                self._metrics.inc("allocator.timeouts")
 
     # ------------------------------------------------------------------ #
-    # solver-pool dispatch (the parallel wavefront)
+    # window resolution (inline, or as a batch on the solver pool)
     # ------------------------------------------------------------------ #
+    def _resolve(
+        self,
+        units: Sequence[FlattenedUnit],
+        windows: Sequence[Tuple[int, int]],
+        pending: Dict[Tuple[int, int], object],
+        parent_span: Optional[int],
+    ) -> List[AllocationResult]:
+        """Allocations of ``windows``, in order.
+
+        Without a pool each window is solved inline; with one, the whole
+        batch is submitted before the first ticket is consumed, so its
+        misses solve concurrently.  Both advance tiers and counters for
+        the same windows in the same order.
+        """
+        if self._solver_pool is None:
+            return [self._allocate(units, start, end) for start, end in windows]
+        for start, end in windows:
+            self._dispatch_window(units, start, end, pending, parent_span)
+        return [self._settle_window(start, end, pending) for start, end in windows]
+
     def _dispatch_window(
         self,
         units: Sequence[FlattenedUnit],
@@ -723,6 +777,8 @@ class NetworkSegmenter:
             "allocation_cache_hit_rate": (
                 self.cache_hits / attempts if attempts else 0.0
             ),
+            "dp_windows_pruned": self.windows_pruned,
+            "allocator_timeouts": self.solver_timeouts,
         }
 
     def _boundary_reserve(self, units: Sequence[FlattenedUnit], end: int) -> int:
@@ -776,6 +832,8 @@ class NetworkSegmenter:
             self.cache_hits,
             self.disk_hits,
             self.speculative_waste,
+            self.windows_pruned,
+            self.solver_timeouts,
         )
 
     def choose_boundaries(
@@ -789,32 +847,68 @@ class NetworkSegmenter:
         :class:`NoFeasiblePlanError`.  The per-window allocation solves
         the DP performs stay memoised on this segmenter, so a subsequent
         :meth:`build_plans` call re-pays nothing.
+
+        One loop serves the inline and the solver-pool paths.  At each
+        boundary ``j`` the reachable candidates ``i`` are ranked by
+        ``(best_cost[i] + bound, i)``; the first is resolved and sets the
+        incumbent, every candidate whose key strictly exceeds it is
+        pruned (its cost is at least its key, so it can neither win nor
+        tie), and the survivors are resolved as one batch.  Edges are
+        relaxed with a lexicographic ``(cost, i)`` tie-break, so the DP
+        tables — hence boundaries and programs — equal those of an
+        exhaustive ascending scan, and a pool resolves exactly the
+        windows the inline path does.
         """
         m = len(units)
         window = max(1, self.options.max_segment_operators)
         self._prepare(units)
 
         # DP tables: best cost to schedule units[0..j-1]; predecessor
-        # boundary; allocation and resources of the last segment of the
-        # best plan ending at j.
+        # boundary; resources of the last segment of the best plan
+        # ending at j (the next edge's Eq. 4 transition depends on it).
         best_cost = [INFEASIBLE_LATENCY] * (m + 1)
         best_cost[0] = 0.0
         predecessor = [-1] * (m + 1)
         last_resources: List[Optional[SegmentResources]] = [None] * (m + 1)
-        last_allocation: List[Optional[AllocationResult]] = [None] * (m + 1)
+        tables = (best_cost, predecessor, last_resources)
+        bounds = self._bounds.tolist()
+        pending: Dict[Tuple[int, int], object] = {}
+        parent_span = self._tracer.current_span_id()
+        speculative = self.options.speculative and self._solver_pool is not None
 
-        tables = (best_cost, predecessor, last_resources, last_allocation)
-        if self._solver_pool is not None:
-            self._run_dp_parallel(units, m, window, tables)
-        else:
-            for j in range(1, m + 1):
-                lo = max(0, j - window)
-                live = int(self._liveness[j - 1]) if j < m else 0
-                for i in range(lo, j):
-                    if best_cost[i] == INFEASIBLE_LATENCY:
-                        continue
-                    allocation = self._allocate(units, i, j - 1)
-                    self._dp_edge(units, i, j, live, allocation, tables)
+        for j in range(1, m + 1):
+            lo = max(0, j - window)
+            ranked = sorted(
+                (best_cost[i] + bounds[i][j - 1 - i], i)
+                for i in range(lo, j)
+                if best_cost[i] != INFEASIBLE_LATENCY
+            )
+            if speculative:
+                for _, i in ranked:
+                    self._dispatch_window(units, i, j - 1, pending, parent_span)
+                self._dispatch_lookahead(units, j, window, best_cost, pending, parent_span)
+            if not ranked:
+                continue
+            live = int(self._liveness[j - 1]) if j < m else 0
+            # Resolve the most promising window first; its cost is the
+            # incumbent.  A window whose bound strictly exceeds it cannot
+            # win (not even a tie), so only the survivors are resolved.
+            self._relax(units, j, live, [ranked[0][1]], tables, pending, parent_span)
+            survivors = [i for key, i in ranked[1:] if not bound_exceeds(key, best_cost[j])]
+            pruned = len(ranked) - 1 - len(survivors)
+            if pruned:
+                self.windows_pruned += pruned
+                self._metrics.inc("allocator.pruned", pruned)
+            self._relax(units, j, live, survivors, tables, pending, parent_span)
+
+        if pending:
+            # Speculative windows the DP never consumed.  Draining them
+            # keeps the reported counters equal to the work performed.
+            waste = len(pending)
+            for start, end in sorted(pending):
+                self._settle_window(start, end, pending)
+            self.speculative_waste += waste
+            self._solver_pool.record_waste(waste)
 
         if best_cost[m] == INFEASIBLE_LATENCY:
             if not self.options.single_segment_fallback:
@@ -836,6 +930,22 @@ class NetworkSegmenter:
         boundaries.reverse()
         return boundaries
 
+    def _relax(
+        self,
+        units: Sequence[FlattenedUnit],
+        j: int,
+        live: int,
+        starts: Sequence[int],
+        tables,
+        pending: Dict[Tuple[int, int], object],
+        parent_span: Optional[int],
+    ) -> None:
+        """Resolve the windows ``(i, j-1)`` for ``i in starts`` as one
+        batch and relax their Eq. 3 edges into ``j``."""
+        windows = [(i, j - 1) for i in starts]
+        for i, allocation in zip(starts, self._resolve(units, windows, pending, parent_span)):
+            self._dp_edge(units, i, j, live, allocation, tables)
+
     def _dp_edge(
         self,
         units: Sequence[FlattenedUnit],
@@ -845,8 +955,13 @@ class NetworkSegmenter:
         allocation: AllocationResult,
         tables,
     ) -> None:
-        """Relax the Eq. 3 edge ``i -> j`` with an obtained allocation."""
-        best_cost, predecessor, last_resources, last_allocation = tables
+        """Relax the Eq. 3 edge ``i -> j`` with an obtained allocation.
+
+        Edges are relaxed in bound order, not in ascending ``i``, so the
+        winner is the lexicographic minimum of ``(cost, i)`` — the edge
+        an ascending scan keeping only strict improvements would pick.
+        """
+        best_cost, predecessor, last_resources = tables
         if not allocation.feasible:
             return
         profiles = self._segment_profiles(units, i, j - 1)
@@ -869,73 +984,39 @@ class NetworkSegmenter:
             allow_boundary_buffering=self.options.allow_memory_mode,
         )
         cost = best_cost[i] + allocation.latency_cycles + inter
-        if cost < best_cost[j]:
+        if cost < best_cost[j] or (cost == best_cost[j] and i < predecessor[j]):
             best_cost[j] = cost
             predecessor[j] = i
             last_resources[j] = resources
-            last_allocation[j] = allocation
 
-    def _run_dp_parallel(
+    def _dispatch_lookahead(
         self,
         units: Sequence[FlattenedUnit],
-        m: int,
+        j: int,
         window: int,
-        tables,
+        best_cost: List[float],
+        pending: Dict[Tuple[int, int], object],
+        parent_span: Optional[int],
     ) -> None:
-        """The Eq. 3 DP as per-wavefront batches on the solver pool.
+        """Speculatively submit the windows of the next wavefronts.
 
-        At boundary ``j`` every candidate window ``(i, j-1)`` whose
-        predecessor is reachable is submitted to the pool as a batch,
-        then the tickets are consumed in ascending ``i`` — the exact
-        order the sequential inner loop probes tiers and advances
-        counters, so strict mode reproduces its solve counts and DP
-        decisions bit-identically.  Intra-wavefront windows all end at
-        ``j-1`` but start at different ``i``, so their lengths — and
-        hence their structural cache keys — necessarily differ:
-        single-flight dedup can never collapse two windows the
-        sequential DP would have solved separately.
-
-        With ``options.speculative`` set, windows of the next wavefronts
-        (up to one per pool worker) are pre-submitted before their
-        predecessor costs are known; windows whose predecessor turns out
-        unreachable are never consumed by the DP and are tallied as
-        ``speculative_waste`` at the end (their tier write-throughs stay
-        valid — every solve is deterministic and keyed structurally — so
-        results and fingerprints are unchanged, only solve counts grow).
+        Up to one wavefront per pool worker is pre-submitted before its
+        predecessor costs are known.  Windows the DP later skips (an
+        unreachable predecessor, or a bound that loses) are never
+        consumed and are tallied as ``speculative_waste`` — their tier
+        write-throughs stay valid (every solve is deterministic and keyed
+        structurally), so results and fingerprints are unchanged, only
+        solve counts grow.
         """
-        best_cost = tables[0]
-        pending: Dict[Tuple[int, int], object] = {}
-        parent_span = self._tracer.current_span_id()
         lookahead = max(1, getattr(self._solver_pool, "workers", 1))
-        for j in range(1, m + 1):
-            lo = max(0, j - window)
-            for i in range(lo, j):
-                if best_cost[i] == INFEASIBLE_LATENCY:
+        for ahead in range(j + 1, min(len(units), j + lookahead) + 1):
+            for i in range(max(0, ahead - window), ahead):
+                # Predecessors before the current frontier with a
+                # known-unreachable cost are dead; later ones are
+                # unknown and dispatched optimistically.
+                if i < j and best_cost[i] == INFEASIBLE_LATENCY:
                     continue
-                self._dispatch_window(units, i, j - 1, pending, parent_span)
-            if self.options.speculative:
-                for ahead in range(j + 1, min(m, j + lookahead) + 1):
-                    for i in range(max(0, ahead - window), ahead):
-                        # Predecessors before the current frontier with a
-                        # known-unreachable cost are dead; later ones are
-                        # unknown and dispatched optimistically.
-                        if i < j and best_cost[i] == INFEASIBLE_LATENCY:
-                            continue
-                        self._dispatch_window(units, i, ahead - 1, pending, parent_span)
-            live = int(self._liveness[j - 1]) if j < m else 0
-            for i in range(lo, j):
-                if best_cost[i] == INFEASIBLE_LATENCY:
-                    continue
-                allocation = self._settle_window(i, j - 1, pending)
-                self._dp_edge(units, i, j, live, allocation, tables)
-        if pending:
-            # Speculative windows the DP never consumed.  Draining them
-            # keeps the reported counters equal to the work performed.
-            waste = len(pending)
-            for start, end in sorted(pending):
-                self._settle_window(start, end, pending)
-            self.speculative_waste += waste
-            self._solver_pool.record_waste(waste)
+                self._dispatch_window(units, i, ahead - 1, pending, parent_span)
 
     # ------------------------------------------------------------------ #
     # plan construction

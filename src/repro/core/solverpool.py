@@ -31,8 +31,12 @@ invariant: within one DP wavefront every candidate window ends at the
 same unit but starts at a different one, so the windows have different
 lengths and therefore *necessarily distinct* cache keys — single-flight
 dedup can never collapse two windows the sequential DP would have solved
-separately, and consuming tickets in the sequential probe order
-reproduces its solve counts, tier counters and results bit-identically.
+separately.  The DP loop itself is shared with the inline path
+(:meth:`~repro.core.segmentation.NetworkSegmenter.choose_boundaries`):
+each wavefront resolves its best-bounded window first, then submits the
+surviving windows as one batch, in the same order the inline path
+solves them, so strict mode reproduces its solve counts, pruned
+windows, tier counters and results bit-identically.
 
 A solve that raises inside a worker settles its flight with the error;
 the segmenter converts it into an infeasible window (losing only that

@@ -64,6 +64,7 @@ class PipelineContext:
     ``boundaries``          ``Segment``                     ``Allocate``
     ``result``              ``Allocate``                    every later pass
     ``fallback_used``       ``FixedModeFallback``           program metadata
+    ``fallback_skipped``    ``FixedModeFallback``           program stats
     ``meta_program``        ``Codegen``                     program assembly
     ======================  ==============================  =============
 
@@ -101,12 +102,17 @@ class PipelineContext:
     boundaries: Optional[List[Tuple[int, int]]] = None
     result: Optional[SegmentationResult] = None
     fallback_used: bool = False
+    #: Set when the fixed-mode pass was skipped because its plan bound
+    #: proved it could not beat the dual-mode plan.
+    fallback_skipped: bool = False
     meta_program: Optional[object] = None
 
     # Solver accounting (dual-mode pass + fixed-mode fallback pass).
     allocation_calls: int = 0
     cache_hits: int = 0
     disk_hits: int = 0
+    windows_pruned: int = 0
+    solver_timeouts: int = 0
     #: Wall time attributed to segmentation + plan building, mirroring the
     #: fused compiler's ``dp_seconds`` metadata field.
     dp_seconds: float = 0.0
@@ -118,11 +124,26 @@ class PipelineContext:
     extras: Dict[str, object] = field(default_factory=dict)
     #: ``time.perf_counter()`` at pipeline start (set by the runner).
     started: float = 0.0
+    #: Span handle of the running pass (set by the runner), so a pass
+    #: can attach what it decided to its own trace span.
+    pass_span: object = NULL_OBS.tracer.span("pass")
 
     @property
     def solve_attempts(self) -> int:
         """Allocator invocations, fresh and cache-served combined."""
         return self.allocation_calls + self.cache_hits
+
+    def absorb(self, result: SegmentationResult) -> None:
+        """Add one segmentation pass's solver work to the totals."""
+        self.allocation_calls += result.allocation_calls
+        self.cache_hits += result.cache_hits
+        self.disk_hits += result.disk_hits
+        self.windows_pruned += result.windows_pruned
+        self.solver_timeouts += result.solver_timeouts
+        if result.speculative_waste:
+            self.extras["speculative_waste"] = (
+                self.extras.get("speculative_waste", 0) + result.speculative_waste
+            )
 
     def stats_payload(self) -> Dict[str, float]:
         """The solver-counter block of ``CompiledProgram.stats``."""
@@ -134,4 +155,7 @@ class PipelineContext:
             "allocation_cache_hit_rate": (
                 self.cache_hits / attempts if attempts else 0.0
             ),
+            "dp_windows_pruned": self.windows_pruned,
+            "allocator_timeouts": self.solver_timeouts,
+            "fixed_fallback_skipped": self.fallback_skipped,
         }

@@ -24,6 +24,7 @@ import time
 from typing import Optional
 
 from ..core.codegen import generate_program
+from ..cost.analytical import bound_exceeds
 from ..core.segmentation import (
     NetworkSegmenter,
     NoFeasiblePlanError,
@@ -156,22 +157,17 @@ class Allocate(Pass):
             ctx.segmenter.cache_hits,
             ctx.segmenter.disk_hits,
             # getattr: test doubles replace the segmenter and predate the
-            # speculative-solving counter.
+            # speculative-solving, pruning and time-out counters.
             getattr(ctx.segmenter, "speculative_waste", 0),
+            getattr(ctx.segmenter, "windows_pruned", 0),
+            getattr(ctx.segmenter, "solver_timeouts", 0),
         )
         self._absorb(ctx)
 
     @staticmethod
     def _absorb(ctx: PipelineContext) -> None:
-        ctx.allocation_calls = ctx.result.allocation_calls
-        ctx.cache_hits = ctx.result.cache_hits
-        ctx.disk_hits = ctx.result.disk_hits
+        ctx.absorb(ctx.result)
         ctx.dp_seconds = ctx.result.dp_seconds
-        if ctx.result.speculative_waste:
-            ctx.extras["speculative_waste"] = (
-                ctx.extras.get("speculative_waste", 0)
-                + ctx.result.speculative_waste
-            )
 
 
 class FixedModeFallback(Pass):
@@ -185,6 +181,14 @@ class FixedModeFallback(Pass):
     allocation cache, so it largely reuses the dual-mode pass's solves
     (cross-mode hits), and its solver work is accounted either way —
     even when it only proves fixed-mode infeasible.
+
+    Before solving anything the pass bounds the fixed-mode plan from
+    below (:meth:`NetworkSegmenter.plan_lower_bound`, no allocation
+    solved).  When that bound strictly exceeds the dual-mode plan's
+    cost, :func:`choose_plan` could not pick the fixed plan, so the pass
+    returns at once with the dual plan kept — ``fixed_fallback_skipped``
+    in the program stats, ``fixed_fallback.skipped`` in the metrics and
+    ``skipped``/``plan_bound``/``dual_cost`` on the pass span record why.
     """
 
     name = "fixed_fallback"
@@ -202,10 +206,20 @@ class FixedModeFallback(Pass):
         fixed_options.solve_memo = ctx.solve_memo
         fixed_options.obs = ctx.obs
         fixed_options.solver_pool = ctx.solver_pool
+        segmenter = NetworkSegmenter(ctx.hardware, fixed_options, cache=ctx.cache)
+        # getattr: test doubles replace the segmenter and predate the
+        # bound; 0.0 proves nothing, so the pass then always runs.
+        bound_of = getattr(segmenter, "plan_lower_bound", None)
+        bound = bound_of(ctx.units or []) if bound_of is not None else 0.0
+        dual_cost = plan_cost(ctx.result)
+        skipped = bound_exceeds(bound, dual_cost)
+        ctx.pass_span.set(skipped=skipped, plan_bound=bound, dual_cost=dual_cost)
+        if skipped:
+            ctx.fallback_skipped = True
+            ctx.obs.metrics.inc("fixed_fallback.skipped")
+            return
         try:
-            fixed_result = NetworkSegmenter(
-                ctx.hardware, fixed_options, cache=ctx.cache
-            ).segment(ctx.graph, units=ctx.units)
+            fixed_result = segmenter.segment(ctx.graph, units=ctx.units)
         except NoFeasiblePlanError as exc:
             # The fallback pass proving fixed-mode infeasible does not
             # invalidate the dual-mode plan — keep it, and keep the
@@ -213,15 +227,10 @@ class FixedModeFallback(Pass):
             ctx.allocation_calls += exc.stats.get("allocator_solves", 0)
             ctx.cache_hits += exc.stats.get("allocation_cache_hits", 0)
             ctx.disk_hits += exc.stats.get("allocation_disk_hits", 0)
+            ctx.windows_pruned += exc.stats.get("dp_windows_pruned", 0)
+            ctx.solver_timeouts += exc.stats.get("allocator_timeouts", 0)
             return
-        ctx.allocation_calls += fixed_result.allocation_calls
-        ctx.cache_hits += fixed_result.cache_hits
-        ctx.disk_hits += fixed_result.disk_hits
-        if fixed_result.speculative_waste:
-            ctx.extras["speculative_waste"] = (
-                ctx.extras.get("speculative_waste", 0)
-                + fixed_result.speculative_waste
-            )
+        ctx.absorb(fixed_result)
         ctx.result, ctx.fallback_used = choose_plan(ctx.result, fixed_result)
 
 

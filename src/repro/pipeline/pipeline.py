@@ -178,7 +178,8 @@ class Pipeline:
                     tracer.event(f"{p.name}:skip")
                     continue
                 self._emit(TraceEvent(p.name, "start"), ctx)
-                with tracer.span(p.name, kind="pass"):
+                with tracer.span(p.name, kind="pass") as span:
+                    ctx.pass_span = span
                     began = time.perf_counter()
                     p.run(ctx)
                     elapsed = time.perf_counter() - began

@@ -66,8 +66,9 @@ LOGGER = logging.getLogger("repro")
 MAX_ENTRY_BYTES = 4 * 1024 * 1024
 
 #: Entries a store's write-behind queue holds before it drops new ones.
-#: A bert cold compile writes 53 entries and mobilenet 664, so only a
-#: cache server far slower than the solver ever fills it.
+#: A cold compile writes one entry per solve (bert 17, mobilenet 222 on
+#: DynaPlasia), so only a cache server far slower than the solver ever
+#: fills it.
 WRITE_QUEUE_LIMIT = 1024
 
 #: Seconds ``RemoteCacheStore.close()`` waits for queued writes to reach
